@@ -3,6 +3,8 @@ package rtmw_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/eventchan"
 	"repro/internal/experiments"
 	"repro/internal/orb"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -699,20 +702,24 @@ func BenchmarkReconfigure(b *testing.B) {
 	})
 }
 
-// BenchmarkChurn measures the open-world lifecycle machinery: one churn
-// trial per iteration — a Figure 5 workload under the fully dynamic J_J_J
-// combination with tenants joining (AddTasks + SubmitBatch bursts) and
-// leaving (RemoveTasks) on fixed virtual-time schedules, observed by an
-// always-on watch stream, finished by the ledger invariant audit. Its
-// allocations are deterministic per workload and guarded by benchguard;
-// jobs/sec rides along for the cross-machine perf trajectory.
+// BenchmarkChurn measures the open-world lifecycle machinery: one run per
+// iteration of the checked-in tenant-churn scenario (a Figure 5 workload with
+// tenants joining via AddTasks, a correlated SubmitBatch storm, and a
+// departure via RemoveTasks) under the fully dynamic J_J_J combination,
+// observed by an always-on watch stream and finished by the spec's invariant
+// block, ledger audit included. Its allocations are deterministic per
+// workload and guarded by benchguard; jobs/sec rides along for the
+// cross-machine perf trajectory.
 func BenchmarkChurn(b *testing.B) {
-	opts := rtmw.ChurnOptions{
-		Combos:  []rtmw.Config{{AC: rtmw.StrategyPerJob, IR: rtmw.StrategyPerJob, LB: rtmw.StrategyPerJob}},
-		Sets:    1,
-		Horizon: 30 * time.Second,
-		Workers: 1,
+	data, err := os.ReadFile(filepath.Join("scenarios", "tenant-churn.json"))
+	if err != nil {
+		b.Fatal(err)
 	}
+	s, err := scenario.Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Config = "J_J_J"
 	var jobs int64
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
@@ -720,15 +727,14 @@ func BenchmarkChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := rtmw.RunChurn(opts)
+		res, err := scenario.RunSim(s, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := results[0]
-		if r.Lost != 0 || !r.OrderOK || r.TasksAdded == 0 || r.TasksRemoved == 0 {
-			b.Fatalf("bad churn trial: %+v", r)
+		if !res.Passed {
+			b.Fatalf("tenant-churn violated its invariants: %v", res.Violations)
 		}
-		jobs += r.Arrived
+		jobs += res.Arrived
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)

@@ -6,11 +6,9 @@
 //	rtmw-bench overhead          Figure 7/8 service overhead table (live, TCP)
 //	rtmw-bench ablation          AUB vs deferrable-server admission (Section 2)
 //	rtmw-bench scale             large-scenario throughput sweep (pooled DES core)
-//	rtmw-bench reconfig          mid-run strategy swap: quiesce latency + zero job loss
-//	rtmw-bench churn             open-world task churn: AddTasks/RemoveTasks under load (sim sweep + live smoke)
-//	rtmw-bench failover          kill-a-node chaos sweep: heartbeat detection, zero-loss failover, recovery (live)
 //	rtmw-bench autopilot         closed-loop controller vs every static combination on regime-change scenarios
-//	rtmw-bench scenario          declarative scenario spec against sim and/or live bindings
+//	rtmw-bench scenario          declarative scenario spec against sim and/or live bindings;
+//	                             strategy swaps, task churn and node loss are scenarios
 //	rtmw-bench all               everything above (except scenario, which needs a spec)
 //
 // Figure runs accept -sets and -horizon; overhead accepts -duration and
@@ -29,9 +27,12 @@
 //	rtmw-bench scenario -spec scenarios/tenant-churn.json -binding sim -record run.jsonl
 //	rtmw-bench scenario -replay run.jsonl -json
 //
-// It exits non-zero when any binding violates the spec's invariant block. A
-// missing or unknown subcommand prints usage and exits 2, so a misspelled
-// CI invocation fails instead of silently no-opping.
+// It exits non-zero when any binding violates the spec's invariant block.
+// Mid-run reconfiguration, open-world churn and kill-a-node failover are
+// checked-in specs (scenarios/reconfig-storm.json, tenant-churn.json,
+// node-loss.json), not subcommands of their own. A missing or unknown
+// subcommand prints usage and exits 2, so a misspelled CI invocation fails
+// instead of silently no-opping.
 package main
 
 import (
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/configengine"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
@@ -72,16 +72,14 @@ func run() error {
 		pings    = flag.Int("pings", 1000, "event round trips for the communication-delay estimate")
 		parallel = flag.Int("parallel", 1, "concurrent trial workers for figure/ablation sweeps (0 = one per CPU)")
 		points   = flag.String("points", "5x100,50x10000,200x50000", "scale sweep points as PROCSxTASKS pairs")
-		fromCfg  = flag.String("from", "T_N_N", "reconfig experiment: starting AC_IR_LB combination")
-		toCfg    = flag.String("to", "J_J_J", "reconfig experiment: target AC_IR_LB combination")
-		noLive   = flag.Bool("nolive", false, "churn experiment: skip the live-cluster smoke")
+		noLive   = flag.Bool("nolive", false, "autopilot: skip the live-cluster leg")
 		csv      = flag.Bool("csv", false, "also print CSV series for figures")
 		jsonOut  = flag.Bool("json", false, "also print JSON documents for figures, the ablation, and the scale sweep")
 	)
 	flag.Parse()
 	cmd := flag.Arg(0)
 	if cmd == "" {
-		return fmt.Errorf("%w: missing subcommand: table1 | figure5 | figure6 | overhead | ablation | scale | reconfig | churn | failover | autopilot | scenario | all", errUsage)
+		return fmt.Errorf("%w: missing subcommand: table1 | figure5 | figure6 | overhead | ablation | scale | autopilot | scenario | all", errUsage)
 	}
 	horizonSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -167,87 +165,6 @@ func run() error {
 				return err
 			}
 			fmt.Println(doc)
-		}
-		return nil
-	}
-	runReconfig := func() error {
-		from, err := core.ParseConfig(*fromCfg)
-		if err != nil {
-			return fmt.Errorf("-from: %w", err)
-		}
-		to, err := core.ParseConfig(*toCfg)
-		if err != nil {
-			return fmt.Errorf("-to: %w", err)
-		}
-		opts := experiments.ReconfigOptions{From: from, To: to, Sets: *sets, Workers: workers}
-		if horizonSet {
-			opts.Horizon = *horizon
-		} else {
-			opts.Horizon = 2 * time.Minute
-		}
-		results, err := experiments.RunReconfig(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderReconfig(
-			fmt.Sprintf("Reconfiguration: %s -> %s at %v of %v (%d sets)", from, to, opts.Horizon/2, opts.Horizon, *sets), results))
-		if *jsonOut {
-			doc, err := experiments.RenderReconfigJSON(results)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-	runChurn := func() error {
-		opts := experiments.ChurnOptions{Sets: *sets, Workers: workers}
-		if horizonSet {
-			opts.Horizon = *horizon
-		} else {
-			opts.Horizon = 2 * time.Minute
-		}
-		results, err := experiments.RunChurn(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderChurn(
-			fmt.Sprintf("Open-world churn: tenants joining/leaving over %v (%d sets, %d workers)", opts.Horizon, *sets, workers), results))
-		var liveSmoke *experiments.ChurnLiveResult
-		if !*noLive {
-			fmt.Fprintln(os.Stderr, "running live churn smoke...")
-			liveSmoke, err = experiments.RunChurnLive(experiments.ChurnLiveOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(tableW, experiments.RenderChurnLive(liveSmoke))
-		}
-		if *jsonOut {
-			doc, err := experiments.RenderChurnJSON(results, liveSmoke)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-	runFailover := func() error {
-		fmt.Fprintln(os.Stderr, "running kill-a-node failover sweep (live clusters)...")
-		results, err := experiments.RunFailover(experiments.FailoverOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderFailover(
-			"Failover: heartbeat detection, zero-loss node failover and recovery (one live cluster per victim)", results))
-		if *jsonOut {
-			doc, err := experiments.RenderFailoverJSON(results)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		if !experiments.FailoverPassed(results) {
-			return fmt.Errorf("failover sweep failed its zero-loss obligations (lost jobs, dirty audit, or missing failure-plane events)")
 		}
 		return nil
 	}
@@ -375,18 +292,12 @@ func run() error {
 		return runAblation()
 	case "scale":
 		return runScale()
-	case "reconfig":
-		return runReconfig()
-	case "churn":
-		return runChurn()
-	case "failover":
-		return runFailover()
 	case "autopilot":
 		return runAutopilot()
 	case "scenario":
 		return runScenario()
 	case "all":
-		for _, f := range []func() error{runTable1, runFigure5, runFigure6, runOverhead, runAblation, runScale, runReconfig, runChurn, runFailover, runAutopilot} {
+		for _, f := range []func() error{runTable1, runFigure5, runFigure6, runOverhead, runAblation, runScale, runAutopilot} {
 			if err := f(); err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := ac.Controller()
-	if ctrl.Stats.Tests == 0 {
+	if atomic.LoadInt64(&ctrl.Stats.Tests) == 0 {
 		t.Error("admission controller never ran a test")
 	}
 	// Audit through the AC's lock: expiry timers may still be mutating the
@@ -131,8 +132,8 @@ func TestClusterPerTaskFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	alertArrivals := te1.StatsSnapshot().Arrived
-	if ctrl.Stats.Tests < 1 || ctrl.Stats.Tests > 1+alertArrivals {
-		t.Errorf("Tests = %d, want 1 (flow) + up to %d (alerts)", ctrl.Stats.Tests, alertArrivals)
+	if tests := atomic.LoadInt64(&ctrl.Stats.Tests); tests < 1 || tests > 1+alertArrivals {
+		t.Errorf("Tests = %d, want 1 (flow) + up to %d (alerts)", tests, alertArrivals)
 	}
 	te0, err := c.TE(0)
 	if err != nil {
@@ -158,7 +159,7 @@ func TestClusterIdleResettingFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ac.Controller().Stats.IdleResets == 0 {
+	if ac.ResetsApplied() == 0 {
 		t.Error("no idle resets reached the admission controller")
 	}
 }

@@ -255,6 +255,20 @@ type trackedJob struct {
 	placement    []sched.PlacedStage
 	arrivalNanos int64
 	nextStage    int
+	// hops counts the job's Release/Trigger pushes seen and done latches
+	// its Done. Each node's channel is tailed independently, so a job's Done
+	// (or a later stage's trigger) can be seen before an earlier hop: a
+	// finished job's entry stays, inert, until all of its hops drained, so
+	// a late hop can neither resurrect it nor rewind its stage.
+	hops int
+	done bool
+	// from is the processor whose node pushed the current hop. A hop to
+	// another node is recorded before it leaves through the pusher's
+	// gateway; until its copy reaches the target node, sent holds its
+	// payload (the key into tracker.sent). A pusher that dies in between
+	// strands the job even though its next stage's processor survives.
+	from int
+	sent string
 	// redelivered latches once the failover plane re-pushed this job, so
 	// the at-failover scan and the stranded-trigger path cannot both fire.
 	// A genuine later hop (pushed by a live node) clears it.
@@ -270,6 +284,10 @@ type tracker struct {
 
 	mu   sync.Mutex
 	jobs map[sched.JobRef]*trackedJob
+	// sent indexes the jobs whose current hop is in flight to another
+	// node by that hop's payload, which the federated copy carries
+	// unchanged, so a delivery is matched without decoding it.
+	sent map[string]*trackedJob
 	// active marks processors whose failover completed: a trigger bound for
 	// one is stranded (its executor is gone) and redelivers immediately.
 	active map[int]bool
@@ -283,27 +301,36 @@ func newTracker(c *Cluster) *tracker {
 	return &tracker{
 		c:      c,
 		jobs:   make(map[sched.JobRef]*trackedJob),
+		sent:   make(map[string]*trackedJob),
 		active: make(map[int]bool),
 	}
 }
 
-// attach subscribes the tracker to one application node's channel. Only
-// locally pushed events are tracked (ev.Source == node): the federated copy
-// of a release or trigger carries the origin's name and is skipped, so each
-// hop is recorded exactly once.
+// attach subscribes the tracker to one application node's channel. Locally
+// pushed events (ev.Source == node) record hops, so each hop is recorded
+// exactly once; a federated copy carries its origin's name and only marks
+// its hop delivered.
 func (tr *tracker) attach(app *live.Node) {
-	hop := tr.hopHandler(app.Name)
+	hop := tr.hopHandler(app.Name, app.Proc)
 	app.Channel.Subscribe(live.EvRelease, hop)
 	app.Channel.Subscribe(live.EvTrigger, hop)
 	app.Channel.Subscribe(live.EvDone, tr.doneHandler(app.Name))
 }
 
-// hopHandler records a job entering a stage. If the stage's processor has
-// already been failed over, the trigger is a dead letter — the executor that
-// would run it is gone — and the job redelivers onto the survivors at once.
-func (tr *tracker) hopHandler(node string) eventchan.Handler {
+// hopHandler records a job entering a stage, pushed by node on processor
+// proc. If the stage's processor has already been failed over, the trigger
+// is a dead letter — the executor that would run it is gone — and the job
+// redelivers onto the survivors at once.
+func (tr *tracker) hopHandler(node string, proc int) eventchan.Handler {
 	return func(ev eventchan.Event) {
 		if ev.Source != node {
+			// A copy arriving from elsewhere: if it is a hop in flight to
+			// this node, it was delivered.
+			tr.mu.Lock()
+			if j := tr.sent[string(ev.Payload)]; j != nil && j.placement[j.nextStage].Proc == proc {
+				tr.unsend(j)
+			}
+			tr.mu.Unlock()
 			return
 		}
 		var trg live.Trigger
@@ -321,9 +348,25 @@ func (tr *tracker) hopHandler(node string) eventchan.Handler {
 			j = &trackedJob{}
 			tr.jobs[ref] = j
 		}
+		j.hops++
+		if j.done || (j.placement != nil && trg.Stage < j.nextStage) {
+			// A late hop of a finished job, or one overtaken by a later
+			// stage's: the job is already past it.
+			if j.done && j.hops >= len(trg.Placement) {
+				delete(tr.jobs, ref)
+			}
+			tr.mu.Unlock()
+			return
+		}
 		j.placement = trg.Placement
 		j.arrivalNanos = trg.ArrivalNanos
 		j.nextStage = trg.Stage
+		j.from = proc
+		tr.unsend(j)
+		if trg.Placement[trg.Stage].Proc != proc {
+			j.sent = string(ev.Payload)
+			tr.sent[j.sent] = j
+		}
 		j.redelivered = false
 		if tr.active[trg.Placement[trg.Stage].Proc] {
 			j.redelivered = true
@@ -339,7 +382,8 @@ func (tr *tracker) hopHandler(node string) eventchan.Handler {
 	}
 }
 
-// doneHandler retires a completed job.
+// doneHandler retires a completed job: at once if every stage's hop was
+// seen, otherwise once the late hops drain (see trackedJob).
 func (tr *tracker) doneHandler(node string) eventchan.Handler {
 	return func(ev eventchan.Event) {
 		if ev.Source != node {
@@ -349,27 +393,47 @@ func (tr *tracker) doneHandler(node string) eventchan.Handler {
 		if err := decodeEvent(ev.Payload, &done); err != nil {
 			return
 		}
+		ref := sched.JobRef{Task: done.Task, Job: done.Job}
 		tr.mu.Lock()
-		delete(tr.jobs, sched.JobRef{Task: done.Task, Job: done.Job})
+		switch j := tr.jobs[ref]; {
+		case j == nil:
+			tr.jobs[ref] = &trackedJob{done: true}
+		case j.hops >= len(j.placement):
+			tr.unsend(j)
+			delete(tr.jobs, ref)
+		default:
+			tr.unsend(j)
+			j.done = true
+		}
 		tr.mu.Unlock()
 	}
 }
 
+// unsend clears a job's in-flight hop. Caller holds tr.mu.
+func (tr *tracker) unsend(j *trackedJob) {
+	if j.sent != "" {
+		delete(tr.sent, j.sent)
+		j.sent = ""
+	}
+}
+
 // activate marks a processor's failover complete and collects every job
-// currently stranded on it (its next stage was placed there). The collected
-// jobs are latched as redelivered under the same lock that makes future
-// stranded triggers redeliver, so no job can fall between the scan and the
-// live path.
+// currently stranded on it: its next stage was placed there, or its node
+// pushed the hop to that stage and died before the hop was delivered. The
+// collected jobs are latched as redelivered under the same lock that makes
+// future stranded triggers redeliver, so no job can fall between the scan
+// and the live path.
 func (tr *tracker) activate(proc int) []live.Trigger {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	tr.active[proc] = true
 	var out []live.Trigger
 	for ref, j := range tr.jobs {
-		if j.redelivered || j.nextStage >= len(j.placement) {
+		if j.done || j.redelivered || j.nextStage >= len(j.placement) {
 			continue
 		}
-		if !tr.active[j.placement[j.nextStage].Proc] {
+		undelivered := j.sent != "" && tr.active[j.from]
+		if !tr.active[j.placement[j.nextStage].Proc] && !undelivered {
 			continue
 		}
 		j.redelivered = true
@@ -721,6 +785,15 @@ func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	c.epoch.Store(outcome.Epoch)
 	if err := c.refreshTasks(); err != nil {
 		return nil, err
+	}
+	// Survivors take over the dead effector's job numbering: a task
+	// re-homed onto one keeps counting where its old home stopped.
+	if dead, err := c.TE(proc); err == nil {
+		for i := range c.Apps {
+			if te, err := c.TE(i); err == nil && i != proc && !c.isDead(i) {
+				te.ContinueNumbering(dead)
+			}
+		}
 	}
 	// Fence the warm standby: replication records stamped with a
 	// pre-failover epoch are decisions from the dead era.

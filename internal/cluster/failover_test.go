@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eventchan"
 	"repro/internal/live"
+	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
@@ -321,5 +323,162 @@ func TestFailoverErrorSurface(t *testing.T) {
 	// With the node recovered the lifecycle gate opens again.
 	if _, err := c.Reconfigure(to); err != nil {
 		t.Errorf("Reconfigure after recovery: %v", err)
+	}
+}
+
+// The dead-letter tracker tails each node's channel independently, so it can
+// see a job's Done before an earlier hop of the same job. A finished job
+// must never be stranded by such a late hop: failing over the late hop's
+// processor would run the job a second time.
+func TestTrackerLateHopAfterDone(t *testing.T) {
+	oneStage := []sched.PlacedStage{{Stage: 0, Proc: 1}}
+	twoStage := []sched.PlacedStage{{Stage: 0, Proc: 1}, {Stage: 1, Proc: 2}}
+	event := func(typ string, v any) eventchan.Event {
+		payload, err := encodeEvent(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eventchan.Event{Type: typ, Source: "app1", Payload: payload}
+	}
+	hopOn := func(placement []sched.PlacedStage, stage int) eventchan.Event {
+		return event(live.EvTrigger, live.Trigger{Task: "cam", Job: 7, Stage: stage, Placement: placement})
+	}
+	hop := func(stage int) eventchan.Event { return hopOn(twoStage, stage) }
+	done := event(live.EvDone, live.Done{Task: "cam", Job: 7})
+	cases := []struct {
+		name   string
+		events []eventchan.Event
+	}{
+		{"done before release", []eventchan.Event{done, hopOn(oneStage, 0)}},
+		{"done before both hops", []eventchan.Event{done, hop(1), hop(0)}},
+		{"done between hops", []eventchan.Event{hop(1), done, hop(0)}},
+		{"done after every hop", []eventchan.Event{hop(0), hop(1), done}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newTracker(nil)
+			onHop, onDone := tr.hopHandler("app1", 1), tr.doneHandler("app1")
+			for _, ev := range tc.events {
+				if ev.Type == live.EvDone {
+					onDone(ev)
+				} else {
+					onHop(ev)
+				}
+			}
+			if out := tr.activate(1); len(out) != 0 {
+				t.Fatalf("finished job stranded on failover: %+v", out)
+			}
+			if len(tr.jobs) != 0 || len(tr.sent) != 0 {
+				t.Fatalf("finished job still tracked: %d entries, %d in flight", len(tr.jobs), len(tr.sent))
+			}
+		})
+	}
+
+	// A stale stage-0 hop overtaken by the (delivered) stage-1 trigger must
+	// not rewind an unfinished job onto its first stage's processor.
+	tr := newTracker(nil)
+	onHop := tr.hopHandler("app1", 1)
+	onHop(hop(1))
+	tr.hopHandler("app2", 2)(hop(1))
+	onHop(hop(0))
+	if out := tr.activate(1); len(out) != 0 {
+		t.Fatalf("job rewound onto stage 0: %+v", out)
+	}
+	if out := tr.activate(2); len(out) != 1 || out[0].Stage != 1 {
+		t.Fatalf("job on stage 1 not stranded by its processor's failover: %+v", out)
+	}
+}
+
+// A hop to another node leaves through the pusher's gateway after the
+// tracker recorded it. If the pusher dies before the hop reaches its target,
+// the job is stranded although its next stage's processor survives.
+func TestTrackerUndeliveredHopFromDeadNode(t *testing.T) {
+	relocated := []sched.PlacedStage{{Stage: 0, Proc: 0}, {Stage: 1, Proc: 2}}
+	payload, err := encodeEvent(live.Trigger{Task: "fuse", Job: 42, Stage: 0, Placement: relocated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := eventchan.Event{Type: live.EvRelease, Source: "app2", Payload: payload}
+	for _, delivered := range []bool{false, true} {
+		tr := newTracker(nil)
+		tr.hopHandler("app2", 2)(release)
+		if delivered {
+			tr.hopHandler("app0", 0)(release)
+		}
+		want := 1
+		if delivered {
+			want = 0
+		}
+		if out := tr.activate(2); len(out) != want {
+			t.Fatalf("delivered=%v: %d jobs stranded, want %d: %+v", delivered, len(out), want, out)
+		}
+	}
+}
+
+// A failover re-homes a task onto a survivor, whose effector must continue
+// the task's job numbering: no (task, job) pair may be admitted twice.
+func TestFailoverKeepsJobIDsUnique(t *testing.T) {
+	cfg := core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
+	c, err := Start(Options{Workload: failoverWorkload(t), Config: cfg, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	watch, err := c.Watch(core.WatchOptions{Buffer: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// lidar is homed on processor 1: admit some of its jobs there first.
+	for i := 0; i < 3; i++ {
+		submitAll(t, c, 2)
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.Failover(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Rehomed["lidar"]) == 0 {
+		t.Fatalf("lidar not re-homed: %v", report.Rehomed)
+	}
+	for i := 0; i < 3; i++ {
+		submitAll(t, c, 2)
+		time.Sleep(50 * time.Millisecond)
+	}
+	c.Drain(5 * time.Second)
+	settle(t, 10*time.Second, func() bool {
+		s := c.Snapshot()
+		return s.Released == s.Completed
+	})
+	time.Sleep(100 * time.Millisecond)
+	watch.Cancel()
+	if watch.Dropped() != 0 {
+		t.Fatalf("watch dropped %d events", watch.Dropped())
+	}
+
+	admitted := make(map[sched.JobRef]int)
+	var lidarBefore, lidarAfter int
+	down := false
+	for ev := range watch.Events() {
+		switch ev.Kind {
+		case core.WatchNodeDown:
+			down = true
+		case core.WatchAdmitted:
+			ref := sched.JobRef{Task: ev.Task, Job: ev.Job}
+			if admitted[ref]++; admitted[ref] == 2 {
+				t.Errorf("job %s/%d admitted twice", ev.Task, ev.Job)
+			}
+			if ev.Task == "lidar" && down {
+				lidarAfter++
+			} else if ev.Task == "lidar" {
+				lidarBefore++
+			}
+		}
+	}
+	if lidarBefore == 0 || lidarAfter == 0 {
+		t.Fatalf("lidar admitted %d jobs before and %d after the failover; the test needs both", lidarBefore, lidarAfter)
 	}
 }

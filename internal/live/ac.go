@@ -670,7 +670,7 @@ func (ac *AdmissionController) ResetsApplied() int64 {
 	if ac.ctrl == nil {
 		return 0
 	}
-	return ac.ctrl.Stats.IdleResets
+	return atomic.LoadInt64(&ac.ctrl.Stats.IdleResets)
 }
 
 // AuditLedger runs the admission ledger's invariant audit. The audit itself

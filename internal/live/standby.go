@@ -75,15 +75,23 @@ func (s *StandbyAC) Activate(ctx *ccm.Context) error {
 		return fmt.Errorf("%w: standby activated before configuration", ErrNotConfigured)
 	}
 	s.mu.Unlock()
-	s.sub = ctx.Events.Subscribe(EvReplicate, s.onReplicate)
+	// Activation arrives over the ORB in a dispatch goroutine: subscribe
+	// outside the lock (delivery takes s.mu), publish the handle under it.
+	sub := ctx.Events.Subscribe(EvReplicate, s.onReplicate)
+	s.mu.Lock()
+	s.sub = sub
+	s.mu.Unlock()
 	return nil
 }
 
 // Passivate detaches from the stream. The mirror ledger stays readable.
 func (s *StandbyAC) Passivate() error {
-	if s.sub != nil {
-		s.sub.Cancel()
-		s.sub = nil
+	s.mu.Lock()
+	sub := s.sub
+	s.sub = nil
+	s.mu.Unlock()
+	if sub != nil {
+		sub.Cancel()
 	}
 	return nil
 }

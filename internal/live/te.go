@@ -272,6 +272,30 @@ func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 	return nil
 }
 
+// ContinueNumbering raises every task's job-number allocator to at least
+// from's. A failover calls it on the survivors with the dead node's
+// effector, so a task re-homed here continues its numbering where the dead
+// home stopped and no (task, job) pair is issued twice.
+func (te *TaskEffector) ContinueNumbering(from *TaskEffector) {
+	src, dst := from.tasks.Load(), te.tasks.Load()
+	if src == nil || dst == nil {
+		return
+	}
+	for id, old := range *src {
+		tt, ok := (*dst)[id]
+		if !ok {
+			continue
+		}
+		next := old.nextJob.Load()
+		for {
+			cur := tt.nextJob.Load()
+			if cur >= next || tt.nextJob.CompareAndSwap(cur, next) {
+				break
+			}
+		}
+	}
+}
+
 // Passivate stops accepting arrivals.
 func (te *TaskEffector) Passivate() error {
 	te.closed.Store(true)

@@ -121,18 +121,28 @@ func evaluate(inv *Invariants, binding string, r *Result) []string {
 }
 
 // watchProbe consumes a binding's watch stream concurrently: it counts
-// events and deadline misses, checks strict Seq ordering, and forwards
-// every event to the recorder when one is attached.
+// events and deadline misses, checks strict Seq ordering, tallies the
+// failure-plane events per node, and forwards every event to the recorder
+// when one is attached.
 type watchProbe struct {
 	stream  *core.WatchStream
 	events  atomic.Int64
 	misses  atomic.Int64
 	ordered atomic.Bool
-	done    chan struct{}
+	// nodeEvents is written by the consumer only; read it after finish.
+	nodeEvents map[nodeEvent]int
+	done       chan struct{}
+}
+
+// nodeEvent is one failure-plane watch event: a node declared down or
+// recovered.
+type nodeEvent struct {
+	kind core.WatchKind
+	node string
 }
 
 func newWatchProbe(stream *core.WatchStream, rec *Recorder) *watchProbe {
-	p := &watchProbe{stream: stream, done: make(chan struct{})}
+	p := &watchProbe{stream: stream, nodeEvents: make(map[nodeEvent]int), done: make(chan struct{})}
 	p.ordered.Store(true)
 	go func() {
 		defer close(p.done)
@@ -143,8 +153,11 @@ func newWatchProbe(stream *core.WatchStream, rec *Recorder) *watchProbe {
 			}
 			lastSeq = ev.Seq
 			p.events.Add(1)
-			if ev.Kind == core.WatchDeadlineMiss {
+			switch ev.Kind {
+			case core.WatchDeadlineMiss:
 				p.misses.Add(1)
+			case core.WatchNodeDown, core.WatchNodeRecovered:
+				p.nodeEvents[nodeEvent{ev.Kind, ev.Task}]++
 			}
 			if rec != nil {
 				rec.Event(ev)
@@ -447,6 +460,9 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 	for _, t := range c.tasks {
 		active[t.ID] = true
 	}
+	// Every node fault must surface on the watch stream as the matching
+	// failure-plane event naming the node.
+	var wantNodeEvents []nodeEvent
 
 	base := time.Now()
 
@@ -520,6 +536,7 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 				node := op.Node
 				rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectKillNode, Node: &node})
 			}
+			wantNodeEvents = append(wantNodeEvents, nodeEvent{core.WatchNodeDown, cl.Apps[op.Node].Name})
 			if err := cl.KillNode(op.Node); err != nil {
 				return nil, err
 			}
@@ -535,6 +552,7 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 				node := op.Node
 				rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectRecoverNode, Node: &node})
 			}
+			wantNodeEvents = append(wantNodeEvents, nodeEvent{core.WatchNodeRecovered, cl.Apps[op.Node].Name})
 			if err := cl.RecoverNode(op.Node); err != nil {
 				return nil, err
 			}
@@ -591,6 +609,11 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 		res.MissRate = float64(res.Missed) / float64(res.Completed)
 	}
 	res.Violations = evaluate(s.Invariants, BindingLive, res)
+	for _, want := range wantNodeEvents {
+		if probe.nodeEvents[want]--; probe.nodeEvents[want] < 0 {
+			res.Violations = append(res.Violations, fmt.Sprintf("failurePlane: no %s watch event for node %q", want.kind, want.node))
+		}
+	}
 	res.Passed = len(res.Violations) == 0
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -115,6 +116,12 @@ func TestRunSimFiltersInactiveArrivals(t *testing.T) {
 	}
 }
 
+// extraConfigs lists strategy combinations a checked-in spec must also pass
+// under, besides its own: tenant-churn covers the open-world lifecycle under
+// the minimal static (T_N_N), per-task (its own T_T_T) and fully dynamic
+// (J_J_J) combinations.
+var extraConfigs = map[string][]string{"tenant-churn.json": {"T_N_N", "J_J_J"}}
+
 // Every checked-in scenario spec parses, validates, and passes its
 // invariant block on the simulation binding — the sim half of the CI
 // scenario matrix, kept green locally.
@@ -140,12 +147,15 @@ func TestCheckedInScenarioSpecsSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunSim(s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Passed {
-				t.Fatalf("scenario %q violated invariants: %v", s.Name, res.Violations)
+			for _, cfg := range append([]string{s.Config}, extraConfigs[e.Name()]...) {
+				s.Config = cfg
+				res, err := RunSim(s, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Passed {
+					t.Fatalf("scenario %q under %s violated invariants: %v", s.Name, cfg, res.Violations)
+				}
 			}
 		})
 	}
@@ -169,5 +179,39 @@ func TestRunLiveChurnSmoke(t *testing.T) {
 	}
 	if res.Binding != BindingLive || res.TimeScale != 10 {
 		t.Fatalf("unexpected live result identity: %+v", res)
+	}
+}
+
+// The checked-in node-loss spec passes its full invariant block on the live
+// binding whichever application node it kills: home, replica target and
+// bystander geometries all fail over and recover with no admitted job lost,
+// both ledgers clean and both failure-plane events observed.
+func TestNodeLossEveryVictim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live node-loss runs skipped in -short mode")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "node-loss.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for victim := 0; victim < 3; victim++ {
+		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
+			s, err := Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range s.Injections {
+				if k := s.Injections[i].Kind; k == InjectKillNode || k == InjectRecoverNode {
+					s.Injections[i].Node = &victim
+				}
+			}
+			res, err := RunLive(s, nodeLossTimeScale, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Passed {
+				t.Fatalf("live invariants violated: %v (result %+v)", res.Violations, res)
+			}
+		})
 	}
 }

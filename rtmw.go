@@ -355,19 +355,6 @@ type (
 	// ScaleResult is one scale point's virtual workload and wall-clock
 	// throughput.
 	ScaleResult = experiments.ScaleResult
-	// ReconfigOptions parameterizes the mid-run reconfiguration experiment.
-	ReconfigOptions = experiments.ReconfigOptions
-	// ReconfigResult is one task set's reconfiguration outcome.
-	ReconfigResult = experiments.ReconfigResult
-	// ChurnOptions parameterizes the open-world churn sweep (tasks joining
-	// and leaving a running binding under every strategy combination).
-	ChurnOptions = experiments.ChurnOptions
-	// ChurnResult is one churn trial's outcome.
-	ChurnResult = experiments.ChurnResult
-	// ChurnLiveOptions parameterizes the live churn smoke.
-	ChurnLiveOptions = experiments.ChurnLiveOptions
-	// ChurnLiveResult is the live churn smoke's outcome.
-	ChurnLiveResult = experiments.ChurnLiveResult
 )
 
 // Experiment runners and renderers.
@@ -377,14 +364,6 @@ var (
 	RunOverhead        = experiments.RunOverhead
 	RunAblationAUBvsDS = experiments.RunAblationAUBvsDS
 	RunScale           = experiments.RunScale
-	RunReconfig        = experiments.RunReconfig
-	RunChurn           = experiments.RunChurn
-	RunChurnLive       = experiments.RunChurnLive
-	RenderChurn        = experiments.RenderChurn
-	RenderChurnLive    = experiments.RenderChurnLive
-	RenderChurnJSON    = experiments.RenderChurnJSON
-	RenderReconfig     = experiments.RenderReconfig
-	RenderReconfigJSON = experiments.RenderReconfigJSON
 	RenderScale        = experiments.RenderScale
 	RenderScaleJSON    = experiments.RenderScaleJSON
 	ParseScalePoints   = experiments.ParseScalePoints
