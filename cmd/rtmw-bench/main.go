@@ -69,7 +69,7 @@ func run() error {
 		sets     = flag.Int("sets", 10, "random task sets per figure point")
 		horizon  = flag.Duration("horizon", 5*time.Minute, "virtual workload duration per run")
 		duration = flag.Duration("duration", 5*time.Second, "live overhead run duration")
-		pings    = flag.Int("pings", 1000, "event round trips for the communication-delay estimate")
+		pings    = flag.Int("pings", 1000, "event round trips for the communication-delay estimate, spread over -duration")
 		parallel = flag.Int("parallel", 1, "concurrent trial workers for figure/ablation sweeps (0 = one per CPU)")
 		points   = flag.String("points", "5x100,50x10000,200x50000", "scale sweep points as PROCSxTASKS pairs")
 		noLive   = flag.Bool("nolive", false, "autopilot: skip the live-cluster leg")
@@ -131,7 +131,7 @@ func run() error {
 			experiments.RunFigure6)
 	}
 	runOverhead := func() error {
-		fmt.Fprintf(os.Stderr, "running live overhead measurement (%v + %d pings)...\n", *duration, *pings)
+		fmt.Fprintf(os.Stderr, "running live overhead measurement (%v, %d pings spread over it)...\n", *duration, *pings)
 		rep, err := experiments.RunOverhead(ovOpts)
 		if err != nil {
 			return err

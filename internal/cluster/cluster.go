@@ -9,9 +9,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -543,11 +541,6 @@ func (c *Cluster) configSnapshot() core.Config {
 	return core.Config{}
 }
 
-// decodeEvent gob-decodes a live event payload.
-func decodeEvent(payload []byte, out any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(out)
-}
-
 // tapRelease observes job releases on one application node's channel. Only
 // locally pushed events count: a federated re-delivery of a relocated
 // release carries the home node's source name and is skipped.
@@ -557,7 +550,7 @@ func (c *Cluster) tapRelease(node string) eventchan.Handler {
 			return
 		}
 		var trg live.Trigger
-		if err := decodeEvent(ev.Payload, &trg); err != nil {
+		if err := trg.DecodePayload(ev.Payload); err != nil {
 			return
 		}
 		c.emit(core.WatchEvent{
@@ -575,7 +568,7 @@ func (c *Cluster) tapAccept(node string) eventchan.Handler {
 			return
 		}
 		var dec live.Accept
-		if err := decodeEvent(ev.Payload, &dec); err != nil || dec.Ok {
+		if err := dec.DecodePayload(ev.Payload); err != nil || dec.Ok {
 			return
 		}
 		c.emit(core.WatchEvent{
@@ -592,7 +585,7 @@ func (c *Cluster) tapDone(node string) eventchan.Handler {
 			return
 		}
 		var done live.Done
-		if err := decodeEvent(ev.Payload, &done); err != nil {
+		if err := done.DecodePayload(ev.Payload); err != nil {
 			return
 		}
 		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)

@@ -18,9 +18,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -43,15 +41,6 @@ const DefaultHeartbeatTimeout = 500 * time.Millisecond
 // taps and the dead-letter tracker filter on the pushing node's name, so a
 // redelivery never double-counts as a fresh release.
 const redeliverySource = "failover"
-
-// encodeEvent gob-encodes a live event payload (the redelivery push path).
-func encodeEvent(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // NodeHealth is one node's liveness as seen by the failure detector.
 type NodeHealth struct {
@@ -129,7 +118,7 @@ func (d *detector) halt() {
 // counted but do not resurrect it — only RecoverNode does.
 func (d *detector) onBeat(ev eventchan.Event) {
 	var hb live.Heartbeat
-	if err := decodeEvent(ev.Payload, &hb); err != nil {
+	if err := hb.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	d.mu.Lock()
@@ -334,7 +323,7 @@ func (tr *tracker) hopHandler(node string, proc int) eventchan.Handler {
 			return
 		}
 		var trg live.Trigger
-		if err := decodeEvent(ev.Payload, &trg); err != nil {
+		if err := trg.DecodePayload(ev.Payload); err != nil {
 			return
 		}
 		if trg.Stage < 0 || trg.Stage >= len(trg.Placement) {
@@ -390,7 +379,7 @@ func (tr *tracker) doneHandler(node string) eventchan.Handler {
 			return
 		}
 		var done live.Done
-		if err := decodeEvent(ev.Payload, &done); err != nil {
+		if err := done.DecodePayload(ev.Payload); err != nil {
 			return
 		}
 		ref := sched.JobRef{Task: done.Task, Job: done.Job}
@@ -525,12 +514,8 @@ func (c *Cluster) redeliverLocked(trg live.Trigger) bool {
 	if trg.Stage == 0 {
 		evType = live.EvRelease
 	}
-	payload, err := encodeEvent(trg)
-	if err != nil {
-		return false
-	}
-	err = c.Apps[target].Channel.Push(eventchan.Event{
-		Type: evType, Source: redeliverySource, Payload: payload,
+	err := c.Apps[target].Channel.Push(eventchan.Event{
+		Type: evType, Source: redeliverySource, Payload: trg.AppendPayload(nil),
 	})
 	return err == nil
 }

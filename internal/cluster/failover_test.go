@@ -333,18 +333,14 @@ func TestFailoverErrorSurface(t *testing.T) {
 func TestTrackerLateHopAfterDone(t *testing.T) {
 	oneStage := []sched.PlacedStage{{Stage: 0, Proc: 1}}
 	twoStage := []sched.PlacedStage{{Stage: 0, Proc: 1}, {Stage: 1, Proc: 2}}
-	event := func(typ string, v any) eventchan.Event {
-		payload, err := encodeEvent(v)
-		if err != nil {
-			t.Fatal(err)
-		}
+	event := func(typ string, payload []byte) eventchan.Event {
 		return eventchan.Event{Type: typ, Source: "app1", Payload: payload}
 	}
 	hopOn := func(placement []sched.PlacedStage, stage int) eventchan.Event {
-		return event(live.EvTrigger, live.Trigger{Task: "cam", Job: 7, Stage: stage, Placement: placement})
+		return event(live.EvTrigger, live.Trigger{Task: "cam", Job: 7, Stage: stage, Placement: placement}.AppendPayload(nil))
 	}
 	hop := func(stage int) eventchan.Event { return hopOn(twoStage, stage) }
-	done := event(live.EvDone, live.Done{Task: "cam", Job: 7})
+	done := event(live.EvDone, live.Done{Task: "cam", Job: 7}.AppendPayload(nil))
 	cases := []struct {
 		name   string
 		events []eventchan.Event
@@ -394,10 +390,7 @@ func TestTrackerLateHopAfterDone(t *testing.T) {
 // the job is stranded although its next stage's processor survives.
 func TestTrackerUndeliveredHopFromDeadNode(t *testing.T) {
 	relocated := []sched.PlacedStage{{Stage: 0, Proc: 0}, {Stage: 1, Proc: 2}}
-	payload, err := encodeEvent(live.Trigger{Task: "fuse", Job: 42, Stage: 0, Placement: relocated})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := live.Trigger{Task: "fuse", Job: 42, Stage: 0, Placement: relocated}.AppendPayload(nil)
 	release := eventchan.Event{Type: live.EvRelease, Source: "app2", Payload: payload}
 	for _, delivered := range []bool{false, true} {
 		tr := newTracker(nil)

@@ -22,7 +22,8 @@ type OverheadOptions struct {
 	// Default 0.05.
 	TimeScale float64
 	// PingCount is the number of event round trips used to estimate the
-	// one-way communication delay, as in the paper (1000).
+	// one-way communication delay, as in the paper (1000). They are spread
+	// evenly over Duration while the workload runs.
 	PingCount int
 	// Set selects the random workload seed set.
 	Set int
@@ -84,7 +85,8 @@ type OverheadRow struct {
 // balancing enabled (J_J_J) for the plan-generation and re-allocation rows,
 // and one without (J_J_N) for the AC-without-LB row. The one-way
 // communication delay is measured by pushing an event back and forth
-// PingCount times and halving the round-trip time.
+// PingCount times, spread over the driven window, and halving the
+// round-trip time.
 func RunOverhead(opts OverheadOptions) (*OverheadReport, error) {
 	opts = opts.withDefaults()
 
@@ -184,15 +186,13 @@ func measureRun(w *spec.Workload, cfg core.Config, opts OverheadOptions) (*runSt
 	}
 	defer c.Close()
 
-	comm, err := measureCommDelay(c, opts.PingCount)
-	if err != nil {
-		return nil, err
-	}
-
 	if err := c.StartDrivers(1.0); err != nil {
 		return nil, err
 	}
-	time.Sleep(opts.Duration)
+	comm, err := measureCommDelay(c, opts.PingCount, opts.Duration)
+	if err != nil {
+		return nil, err
+	}
 	c.StopDrivers()
 	c.Drain(5 * time.Second)
 
@@ -251,7 +251,12 @@ func measureRun(w *spec.Workload, cfg core.Config, opts OverheadOptions) (*runSt
 
 // measureCommDelay pushes an event back and forth between application node 0
 // and the manager, as the paper does, and halves the mean/max round trip.
-func measureCommDelay(c *cluster.Cluster, count int) (statSummary, error) {
+// The pings are spread evenly over window while the workload runs, so each
+// one finds the transport in the state a driven arrival finds it: between
+// arrivals the process idles and its caches go cold, and back-to-back pings
+// on a warm path would read low against the other operations. It returns
+// once window has elapsed.
+func measureCommDelay(c *cluster.Cluster, count int, window time.Duration) (statSummary, error) {
 	const pingType = "OverheadPing"
 	const pongType = "OverheadPong"
 	app := c.Apps[0]
@@ -272,7 +277,10 @@ func measureCommDelay(c *cluster.Cluster, count int) (statSummary, error) {
 	app.Channel.AddRemoteSink(pingType, manager.Addr)
 
 	var total, maxRTT time.Duration
+	spacing := window / time.Duration(count)
+	begin := time.Now()
 	for i := 0; i < count; i++ {
+		time.Sleep(time.Until(begin.Add(time.Duration(i) * spacing)))
 		start := time.Now()
 		if err := app.Channel.Push(eventchan.Event{Type: pingType}); err != nil {
 			return statSummary{}, err
@@ -288,6 +296,7 @@ func measureCommDelay(c *cluster.Cluster, count int) (statSummary, error) {
 			maxRTT = rtt
 		}
 	}
+	time.Sleep(time.Until(begin.Add(window)))
 	return statSummary{
 		mean:  total / time.Duration(count) / 2,
 		max:   maxRTT / 2,

@@ -264,7 +264,7 @@ func (ac *AdmissionController) Passivate() error {
 // the new configuration at Resume); otherwise it is decided immediately.
 func (ac *AdmissionController) onTaskArrive(ev eventchan.Event) {
 	var arr TaskArrive
-	if err := decode(ev.Payload, &arr); err != nil {
+	if err := arr.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	ac.mu.RLock()
@@ -318,7 +318,7 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	ac.DecisionDelay.Add(time.Since(start))
 	if ac.ch != nil {
 		// Best effort: a dead effector node surfaces in its own metrics.
-		_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: encode(out)})
+		_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: out.AppendPayload(nil)})
 	}
 }
 
@@ -333,7 +333,7 @@ func (ac *AdmissionController) replicateRLocked(rec RepRecord) {
 	}
 	rec.Epoch = ac.epoch
 	rec.Seq = atomic.AddInt64(&ac.repSeq, 1)
-	_ = ac.ch.Push(eventchan.Event{Type: EvReplicate, Payload: encode(rec)})
+	_ = ac.ch.Push(eventchan.Event{Type: EvReplicate, Payload: rec.AppendPayload(nil)})
 }
 
 // replicateDecision emits the ledger mutation (if any) implied by one
@@ -589,7 +589,7 @@ func (ac *AdmissionController) replayRLocked(arrs []TaskArrive) {
 		}
 		ac.DecisionDelay.Add(elapsed / time.Duration(len(decisions)))
 		if ac.ch != nil {
-			_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: encode(out)})
+			_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: out.AppendPayload(nil)})
 		}
 	}
 }
@@ -604,20 +604,20 @@ func (ac *AdmissionController) reconfigServant(op string, arg []byte) ([]byte, e
 		if err != nil {
 			return nil, err
 		}
-		return encode(epoch), nil
+		return encodeControlReply(epoch)
 	case "Resume":
 		n, err := ac.Resume()
 		if err != nil {
 			return nil, err
 		}
-		return encode(int64(n)), nil
+		return encodeControlReply(int64(n))
 	case "Epoch":
-		return encode(ac.Epoch()), nil
+		return encodeControlReply(ac.Epoch())
 	case "Config":
 		ac.mu.RLock()
 		cfg := ac.cfg.String()
 		ac.mu.RUnlock()
-		return encode(cfg), nil
+		return encodeControlReply(cfg)
 	default:
 		return nil, fmt.Errorf("live: reconfig: unknown operation %q", op)
 	}
@@ -645,7 +645,7 @@ func (ac *AdmissionController) expire(ref sched.JobRef) {
 // experiments report).
 func (ac *AdmissionController) onIdleReset(ev eventchan.Event) {
 	var rep IdleReset
-	if err := decode(ev.Payload, &rep); err != nil {
+	if err := rep.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	ac.mu.RLock()
@@ -861,7 +861,7 @@ func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("live: lb: unknown operation %q", op)
 	}
 	var taskID string
-	if err := decode(arg, &taskID); err != nil {
+	if err := decodeControlArg(arg, &taskID); err != nil {
 		return nil, err
 	}
 	lb.mu.Lock()
@@ -878,5 +878,5 @@ func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 	if ctrl == nil {
 		return nil, errors.New("live: lb: admission controller not configured")
 	}
-	return encode(ctrl.Location(t, 0)), nil
+	return encodeControlReply(ctrl.Location(t, 0))
 }

@@ -219,23 +219,6 @@ func TestRegisterAll(t *testing.T) {
 	}
 }
 
-func TestEventCodecRoundTrip(t *testing.T) {
-	in := Trigger{
-		Task: "t", Job: 42, Stage: 1,
-		Placement: []sched.PlacedStage{{Stage: 0, Proc: 2, Util: 0.25}},
-	}
-	var out Trigger
-	if err := decode(encode(in), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Task != in.Task || out.Job != in.Job || len(out.Placement) != 1 || out.Placement[0].Proc != 2 {
-		t.Errorf("round trip = %+v", out)
-	}
-	if err := decode([]byte("garbage"), &out); err == nil {
-		t.Error("garbage decoded")
-	}
-}
-
 func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode("x", 0, "127.0.0.1:0", 0); err == nil {
 		t.Error("zero execScale accepted")
@@ -285,12 +268,12 @@ func TestCollector(t *testing.T) {
 
 	base := time.Now().UnixNano()
 	push := func(task string, resp time.Duration) {
-		_ = node.Channel.Push(eventchan.Event{Type: EvDone, Payload: encode(Done{
+		_ = node.Channel.Push(eventchan.Event{Type: EvDone, Payload: Done{
 			Task:         task,
 			Job:          0,
 			ArrivalNanos: base,
 			DoneNanos:    base + int64(resp),
-		})})
+		}.AppendPayload(nil)})
 	}
 	push("t", 10*time.Millisecond) // met
 	push("t", 80*time.Millisecond) // missed

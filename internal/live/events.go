@@ -13,9 +13,6 @@
 package live
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"time"
 
 	"repro/internal/sched"
@@ -182,26 +179,6 @@ type Done struct {
 	// ArrivalNanos and DoneNanos bound the response time.
 	ArrivalNanos int64
 	DoneNanos    int64
-}
-
-// encode gob-encodes an event payload.
-func encode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		// Payload types are closed over in this package; failure to encode
-		// one is a programming error.
-		panic(fmt.Sprintf("live: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// decode gob-decodes an event payload into out, returning false (and
-// logging nothing) on corrupt payloads so handlers can drop them.
-func decode(payload []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("live: decode %T: %w", out, err)
-	}
-	return nil
 }
 
 // nowNanos returns the current wall clock as UnixNano. Live deadlines use

@@ -136,7 +136,7 @@ func (ir *IdleResetter) Passivate() error {
 // onComplete records a local subjob completion.
 func (ir *IdleResetter) onComplete(ev eventchan.Event) {
 	var c Complete
-	if err := decode(ev.Payload, &c); err != nil {
+	if err := c.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	ir.mu.Lock()
@@ -162,9 +162,9 @@ func (ir *IdleResetter) onIdle() {
 	if len(reports) == 0 {
 		return
 	}
-	_ = ch.Push(eventchan.Event{Type: EvIdleReset, Payload: encode(IdleReset{
+	_ = ch.Push(eventchan.Event{Type: EvIdleReset, Payload: IdleReset{
 		Proc:    proc,
 		Entries: reports,
-	})})
+	}.AppendPayload(nil)})
 	ir.ReportPush.Add(time.Since(start))
 }

@@ -157,12 +157,12 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	accept := func(job int64, epoch int64) {
-		te.onAccept(eventchan.Event{Type: EvAccept, Payload: encode(Accept{
+		te.onAccept(eventchan.Event{Type: EvAccept, Payload: Accept{
 			Task: "p", Job: job, Ok: true,
 			Placement:       []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.05}},
 			PerTaskDecision: true,
 			Epoch:           epoch,
-		})})
+		}.AppendPayload(nil)})
 	}
 	accept(0, 0)
 	cached := len(*te.decided.Load())

@@ -168,7 +168,7 @@ func NewCollector(tasks []*sched.Task) *Collector {
 func (c *Collector) Attach(ch *eventchan.Channel) {
 	ch.Subscribe(EvDone, func(ev eventchan.Event) {
 		var done Done
-		if err := decode(ev.Payload, &done); err != nil {
+		if err := done.DecodePayload(ev.Payload); err != nil {
 			return
 		}
 		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)

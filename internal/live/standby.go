@@ -99,7 +99,7 @@ func (s *StandbyAC) Passivate() error {
 // onReplicate applies one replicated ledger mutation.
 func (s *StandbyAC) onReplicate(ev eventchan.Event) {
 	var rec RepRecord
-	if err := decode(ev.Payload, &rec); err != nil {
+	if err := rec.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	s.mu.Lock()

@@ -14,7 +14,7 @@ import (
 // delivers it synchronously to the standby's subscription.
 func pushRep(t *testing.T, node *Node, rec RepRecord) {
 	t.Helper()
-	if err := node.Channel.Push(eventchan.Event{Type: EvReplicate, Payload: encode(rec)}); err != nil {
+	if err := node.Channel.Push(eventchan.Event{Type: EvReplicate, Payload: rec.AppendPayload(nil)}); err != nil {
 		t.Fatal(err)
 	}
 }

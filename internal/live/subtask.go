@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -41,6 +42,9 @@ type Subtask struct {
 	kind     sched.TaskKind
 	last     bool
 	proc     int
+	// header is the wire prefix of the Triggers addressed to this (task,
+	// stage); onTrigger drops every other instance's event on it.
+	header []byte
 
 	// priority is the EDMS dispatch priority. It is atomic because the
 	// open-world AddTasks delta re-assigns priorities over the union task set
@@ -74,6 +78,7 @@ func (s *Subtask) Configure(attrs map[string]string) error {
 	if s.stage, err = attrInt(attrs, AttrStage); err != nil {
 		return err
 	}
+	s.header = appendTriggerHeader(nil, s.task, s.stage)
 	if s.exec, err = attrDuration(attrs, AttrExec); err != nil {
 		return err
 	}
@@ -148,14 +153,16 @@ func (s *Subtask) Reconfigure(attrs map[string]string) error {
 
 var _ ccm.Reconfigurable = (*Subtask)(nil)
 
-// onTrigger filters events for this instance and submits the subjob.
+// onTrigger filters events for this instance and submits the subjob. Every
+// stage instance on the node sees every Release or Trigger, so events for
+// another (task, stage) are dropped on their header bytes before decoding.
 func (s *Subtask) onTrigger(ev eventchan.Event) {
 	start := time.Now()
-	var trg Trigger
-	if err := decode(ev.Payload, &trg); err != nil {
+	if !bytes.HasPrefix(ev.Payload, s.header) {
 		return
 	}
-	if trg.Task != s.task || trg.Stage != s.stage {
+	var trg Trigger
+	if err := trg.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	if trg.Stage >= len(trg.Placement) || trg.Placement[trg.Stage].Proc != s.proc {
@@ -175,23 +182,23 @@ func (s *Subtask) run(trg Trigger) {
 	// Paper: "Both F/I Subtask and Last Subtask components call the
 	// Complete method of the local IR component" — a local event here.
 	deadline := time.Unix(0, trg.ArrivalNanos).Add(s.deadline)
-	_ = s.ch.Push(eventchan.Event{Type: EvComplete, Payload: encode(Complete{
+	_ = s.ch.Push(eventchan.Event{Type: EvComplete, Payload: Complete{
 		Ref:           sched.JobRef{Task: trg.Task, Job: trg.Job},
 		Stage:         s.stage,
 		Kind:          s.kind,
 		DeadlineNanos: deadline.UnixNano(),
-	})})
+	}.AppendPayload(nil)})
 
 	if s.last {
-		_ = s.ch.Push(eventchan.Event{Type: EvDone, Payload: encode(Done{
+		_ = s.ch.Push(eventchan.Event{Type: EvDone, Payload: Done{
 			Task:         trg.Task,
 			Job:          trg.Job,
 			ArrivalNanos: trg.ArrivalNanos,
 			DoneNanos:    nowNanos(),
-		})})
+		}.AppendPayload(nil)})
 		return
 	}
 	next := trg
 	next.Stage = trg.Stage + 1
-	_ = s.ch.Push(eventchan.Event{Type: EvTrigger, Payload: encode(next)})
+	_ = s.ch.Push(eventchan.Event{Type: EvTrigger, Payload: next.AppendPayload(nil)})
 }

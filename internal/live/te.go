@@ -389,12 +389,12 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 
 	adm.Outcome = core.AdmissionPending
 	adm.Reason = "admission decision round trip in flight"
-	err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: encode(TaskArrive{
+	err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: TaskArrive{
 		Task:         taskID,
 		Job:          job,
 		Proc:         proc,
 		ArrivalNanos: arrival,
-	})})
+	}.AppendPayload(nil)})
 	if err != nil {
 		// The arrival failed (shed or transport loss): no Accept will
 		// answer this hold, so release it — a late decision for the ref is
@@ -477,7 +477,7 @@ func (te *TaskEffector) SubmitBatch(taskIDs []string) ([]core.Admission, error) 
 
 	var firstErr error
 	for _, p := range pushes {
-		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: encode(p.ev)})
+		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: p.ev.AppendPayload(nil)})
 		if err == nil {
 			continue
 		}
@@ -532,7 +532,7 @@ func TransportOverloaded(err error) bool {
 // routes to the node hosting the assigned first stage.
 func (te *TaskEffector) onAccept(ev eventchan.Event) {
 	var dec Accept
-	if err := decode(ev.Payload, &dec); err != nil {
+	if err := dec.DecodePayload(ev.Payload); err != nil {
 		return
 	}
 	if te.closed.Load() {
@@ -586,11 +586,11 @@ func (te *TaskEffector) release(ch *eventchan.Channel, task string, job int64, p
 	if ch == nil {
 		return
 	}
-	_ = ch.Push(eventchan.Event{Type: EvRelease, Payload: encode(Trigger{
+	_ = ch.Push(eventchan.Event{Type: EvRelease, Payload: Trigger{
 		Task:         task,
 		Job:          job,
 		Stage:        0,
 		Placement:    placement,
 		ArrivalNanos: arrivalNanos,
-	})})
+	}.AppendPayload(nil)})
 }

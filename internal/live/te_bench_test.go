@@ -30,12 +30,12 @@ func benchTE(tb testing.TB) *TaskEffector {
 	if _, err := te.Arrive("p"); err != nil {
 		tb.Fatal(err)
 	}
-	te.onAccept(eventchan.Event{Type: EvAccept, Payload: encode(Accept{
+	te.onAccept(eventchan.Event{Type: EvAccept, Payload: Accept{
 		Task: "p", Job: 0, Ok: true,
 		Placement:       []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.05}},
 		PerTaskDecision: true,
 		Epoch:           0,
-	})})
+	}.AppendPayload(nil)})
 	if _, ok := te.cachedDecision("p"); !ok {
 		tb.Fatal("per-task decision was not cached")
 	}

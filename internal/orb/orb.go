@@ -4,10 +4,11 @@
 // named servants over persistent TCP connections with connection reuse.
 //
 // The wire protocol is a simple length-prefixed framing (see message.go);
-// argument bodies are opaque byte slices, encoded by callers (the live
-// components use encoding/gob). The broker preserves the properties the
-// paper's services rely on: low per-call overhead, in-order delivery per
-// connection, and concurrent dispatch of independent requests.
+// argument bodies are opaque byte slices, encoded by callers (the live event
+// plane uses the binary payload codec in internal/live; the deployment and
+// reconfiguration control calls use encoding/gob). The broker preserves the
+// properties the paper's services rely on: low per-call overhead, in-order
+// delivery per connection, and concurrent dispatch of independent requests.
 package orb
 
 import (
