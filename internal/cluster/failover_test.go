@@ -294,6 +294,22 @@ func TestFailoverErrorSurface(t *testing.T) {
 	if _, err := c.Submit("lidar"); !errors.Is(err, live.ErrNodeDown) {
 		t.Errorf("Submit to dead home: %v, want ErrNodeDown", err)
 	}
+	// A batch mixing the dead home with a live one fails only the dead
+	// entry: cam, homed on processor 0, is still injected.
+	adms, err := c.SubmitBatch([]string{"lidar", "cam"})
+	if !errors.Is(err, live.ErrNodeDown) {
+		t.Errorf("SubmitBatch with a dead home: %v, want ErrNodeDown", err)
+	}
+	if len(adms) != 2 {
+		t.Fatalf("SubmitBatch returned %d admissions, want 2", len(adms))
+	}
+	if adms[0].Task != "lidar" || adms[0].Outcome != core.AdmissionRejected ||
+		!strings.Contains(adms[0].Reason, live.ErrNodeDown.Error()) {
+		t.Errorf("dead-home entry = %+v, want Rejected with ErrNodeDown in Reason", adms[0])
+	}
+	if adms[1].Task != "cam" || adms[1].Job < 0 || adms[1].Outcome == core.AdmissionRejected {
+		t.Errorf("live-home entry = %+v, want injected", adms[1])
+	}
 	// Lifecycle transactions are gated while a node is down un-failed-over.
 	to := core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob}
 	if _, err := c.Reconfigure(to); !errors.Is(err, live.ErrNodeDown) {

@@ -158,7 +158,7 @@ func TestClusterAddRemoveTasksLive(t *testing.T) {
 	}
 }
 
-// TestClusterSubmitBatchAmortizes pins the batch ingestion path: admissions
+// TestClusterSubmitBatchAmortizes pins the SubmitBatch contract: admissions
 // return in argument order with per-task job numbering, and the per-task
 // cached fast path resolves synchronously on the second round.
 func TestClusterSubmitBatchAmortizes(t *testing.T) {

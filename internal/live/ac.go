@@ -24,11 +24,6 @@ const (
 	AttrProcessors = "Processors"
 	AttrWorkload   = "Workload"
 	AttrProcessor  = "Processor"
-	// AttrACShards sets the number of admission-plane shards the controller's
-	// ledger is split into (clamped to [1, min(Processors, 64)]). When absent
-	// it defaults to min(Processors, 8). Shard count 1 reproduces the
-	// historical serial admission plane bit for bit.
-	AttrACShards = "AC_Shards"
 	// AttrEpoch carries the reconfiguration epoch stamped by the
 	// coordinator into every Reconfigure attribute set: components adopt it
 	// so stale cross-epoch decisions are recognizable.
@@ -163,21 +158,8 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	shards := 0
-	if _, ok := attrs[AttrACShards]; ok {
-		if shards, err = attrInt(attrs, AttrACShards); err != nil {
-			return err
-		}
-		if shards < 1 {
-			return fmt.Errorf("live: ac: attribute %q must be at least 1, got %d", AttrACShards, shards)
-		}
-	}
-	if shards == 0 {
-		shards = procs
-		if shards > 8 {
-			shards = 8
-		}
-	}
+	// The ledger splits into one admission shard per processor, capped at 8.
+	shards := min(procs, 8)
 	replicate := false
 	if _, ok := attrs[AttrReplicate]; ok {
 		if replicate, err = attrBool(attrs, AttrReplicate); err != nil {
@@ -522,10 +504,8 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 
 // Resume is phase two's tail: admission reopens and every arrival buffered
 // during the quiesce is decided — in arrival order — under the new
-// configuration. The replay goes through the controller's batch admission
-// path, so a burst of buffered aperiodic arrivals under LB-none takes each
-// admission shard's lock once instead of once per arrival. It returns the
-// number of replayed arrivals.
+// configuration, through the same decision step as a live arrival. It
+// returns the number of replayed arrivals.
 func (ac *AdmissionController) Resume() (int, error) {
 	ac.mu.Lock()
 	if !ac.quiesced {
@@ -543,55 +523,10 @@ func (ac *AdmissionController) Resume() (int, error) {
 	if ac.closed {
 		return 0, nil
 	}
-	ac.replayRLocked(deferred)
+	for _, arr := range deferred {
+		ac.decideRLocked(arr)
+	}
 	return len(deferred), nil
-}
-
-// replayRLocked decides a buffered arrival batch under the current
-// configuration. Caller holds mu shared.
-func (ac *AdmissionController) replayRLocked(arrs []TaskArrive) {
-	if len(arrs) == 0 {
-		return
-	}
-	start := time.Now()
-	batch := make([]core.BatchArrival, 0, len(arrs))
-	kept := make([]TaskArrive, 0, len(arrs))
-	for _, arr := range arrs {
-		t, ok := ac.tasks[arr.Task]
-		if !ok {
-			continue
-		}
-		batch = append(batch, core.BatchArrival{Task: t, Job: arr.Job, Now: time.Duration(arr.ArrivalNanos)})
-		kept = append(kept, arr)
-	}
-	decisions := ac.ctrl.ArriveBatch(batch)
-	elapsed := time.Since(start)
-	for i, d := range decisions {
-		arr := kept[i]
-		t := batch[i].Task
-		ref := sched.JobRef{Task: arr.Task, Job: arr.Job}
-		ac.replicateDecision(t, ref, arr.ArrivalNanos, d)
-		if d.Accept && !d.Reserved {
-			ac.scheduleExpiry(ref, time.Unix(0, arr.ArrivalNanos).Add(t.Deadline))
-		}
-		perTask := t.Kind == sched.Periodic &&
-			ac.cfg.AC == core.StrategyPerTask &&
-			ac.cfg.LB != core.StrategyPerJob
-		out := Accept{
-			Task:            arr.Task,
-			Job:             arr.Job,
-			Ok:              d.Accept,
-			Placement:       d.Placement,
-			Relocated:       d.Relocated,
-			PerTaskDecision: perTask,
-			ArrivalNanos:    arr.ArrivalNanos,
-			Epoch:           ac.epoch,
-		}
-		ac.DecisionDelay.Add(elapsed / time.Duration(len(decisions)))
-		if ac.ch != nil {
-			_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: out.AppendPayload(nil)})
-		}
-	}
 }
 
 // reconfigServant exposes the coordination half of the protocol over the

@@ -110,14 +110,14 @@ func TestTaskEffectorArriveUnknownTask(t *testing.T) {
 	if err := te.Activate(&ccm.Context{Node: "te-test", ORB: node.ORB, Events: node.Channel}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := te.Arrive("ghost"); err == nil {
-		t.Error("Arrive(ghost) succeeded")
+	if _, err := te.SubmitJob("ghost"); err == nil {
+		t.Error("SubmitJob(ghost) succeeded")
 	}
 	if err := te.Passivate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := te.Arrive("p"); err == nil {
-		t.Error("Arrive after Passivate succeeded")
+	if _, err := te.SubmitJob("p"); err == nil {
+		t.Error("SubmitJob after Passivate succeeded")
 	}
 }
 

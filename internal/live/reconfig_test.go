@@ -2,12 +2,16 @@ package live
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ccm"
 	"repro/internal/core"
 	"repro/internal/eventchan"
 	"repro/internal/sched"
+	"repro/internal/spec"
 )
 
 // TestSentinelErrors pins the exported sentinels so Binding callers can
@@ -136,6 +140,134 @@ func TestACReconfigureSwapsStrategies(t *testing.T) {
 	}
 }
 
+// resumeWorkloadJSON has deadlines long enough that no expiry timer fires
+// while a test replays its deferred arrivals.
+const resumeWorkloadJSON = `{
+  "name": "resume",
+  "processors": 2,
+  "tasks": [
+    {"id": "p", "kind": "periodic", "period": "10s", "deadline": "10s",
+     "subtasks": [{"exec": "500ms", "processor": 0, "replicas": [1]}]},
+    {"id": "a", "kind": "aperiodic", "deadline": "10s",
+     "subtasks": [{"exec": "500ms", "processor": 1, "replicas": [0]}]}
+  ]
+}`
+
+// TestACResumeReplaysDeferredArrivals pins the quiesce buffer: arrivals
+// pushed while quiesced emit no Accept, and Resume decides them in arrival
+// order under the new configuration and epoch, exactly as a fresh
+// controller deciding the same arrivals one by one would.
+func TestACResumeReplaysDeferredArrivals(t *testing.T) {
+	node, err := NewNode("acresume-test", -1, "127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ac := NewAdmissionController()
+	attrs := acAttrs() // J_T_N
+	attrs[AttrWorkload] = resumeWorkloadJSON
+	if err := ac.Configure(attrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := ac.Activate(&ccm.Context{Node: "acresume-test", ORB: node.ORB, Events: node.Channel}); err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Passivate()
+	var mu sync.Mutex
+	var accepts []Accept
+	node.Channel.Subscribe(EvAccept, func(ev eventchan.Event) {
+		var a Accept
+		if err := a.DecodePayload(ev.Payload); err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		accepts = append(accepts, a)
+		mu.Unlock()
+	})
+	received := func() []Accept {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]Accept(nil), accepts...)
+	}
+
+	if _, err := ac.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	// Alternate the two tasks until the 1.2 total utilization overloads
+	// both processors, so the replay both accepts and rejects.
+	const n = 24
+	base := time.Now().UnixNano()
+	arrivals := make([]TaskArrive, n)
+	for i := range arrivals {
+		arr := TaskArrive{Task: "a", Job: int64(i / 2), Proc: 1, ArrivalNanos: base + int64(i)}
+		if i%2 == 1 {
+			arr.Task, arr.Proc = "p", 0
+		}
+		arrivals[i] = arr
+		if err := node.Channel.Push(eventchan.Event{Type: EvTaskArrive, Payload: arr.AppendPayload(nil)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := received(); len(got) != 0 {
+		t.Fatalf("%d Accepts emitted while quiesced", len(got))
+	}
+	newCfg := core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob}
+	if err := ac.Reconfigure(map[string]string{
+		AttrACStrategy: "J", AttrIRStrategy: "J", AttrLBStrategy: "J", AttrEpoch: "1",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ac.Resume(); err != nil || got != n {
+		t.Fatalf("Resume = %d, %v; want %d, nil", got, err, n)
+	}
+
+	w, err := spec.Parse([]byte(resumeWorkloadJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := w.SchedTasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]*sched.Task, len(tasks))
+	for _, tk := range tasks {
+		byID[tk.ID] = tk
+	}
+	fresh, err := core.NewControllerSharded(newCfg, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := received()
+	if len(got) != n {
+		t.Fatalf("%d Accepts after Resume, want %d", len(got), n)
+	}
+	var accepted, rejected int
+	for i, arr := range arrivals {
+		a := got[i]
+		if a.Task != arr.Task || a.Job != arr.Job || a.ArrivalNanos != arr.ArrivalNanos {
+			t.Fatalf("Accept %d answers %s/%d@%d, want %s/%d@%d (arrival order)",
+				i, a.Task, a.Job, a.ArrivalNanos, arr.Task, arr.Job, arr.ArrivalNanos)
+		}
+		if a.Epoch != 1 {
+			t.Errorf("Accept %d stamped epoch %d, want 1", i, a.Epoch)
+		}
+		d := fresh.Arrive(byID[arr.Task], arr.Job, time.Duration(arr.ArrivalNanos))
+		if a.Ok != d.Accept || a.Relocated != d.Relocated || !reflect.DeepEqual(a.Placement, d.Placement) {
+			t.Errorf("arrival %d (%s/%d): replayed ok=%v relocated=%v placement=%v, sequential ok=%v relocated=%v placement=%v",
+				i, arr.Task, arr.Job, a.Ok, a.Relocated, a.Placement, d.Accept, d.Relocated, d.Placement)
+		}
+		if a.Ok {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Errorf("replay accepted %d and rejected %d; want both decisions exercised", accepted, rejected)
+	}
+}
+
 // TestTEReconfigureDropsStaleDecisions pins the epoch filter: cached
 // per-task decisions clear on reconfigure, and an Accept stamped with the
 // old epoch releases its job without being re-cached.
@@ -152,8 +284,8 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 	if err := te.Activate(&ccm.Context{Node: "tere-test", ORB: node.ORB, Events: node.Channel}); err != nil {
 		t.Fatal(err)
 	}
-	// Arrive then deliver an epoch-0 per-task decision: it caches.
-	if _, err := te.Arrive("p"); err != nil {
+	// Submit then deliver an epoch-0 per-task decision: it caches.
+	if _, err := te.SubmitJob("p"); err != nil {
 		t.Fatal(err)
 	}
 	accept := func(job int64, epoch int64) {
@@ -180,7 +312,7 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 	}
 
 	// A stale epoch-0 Accept for a held job releases it but is not cached.
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		t.Fatal(err)
 	}
 	accept(1, 0)
@@ -193,7 +325,7 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 		t.Errorf("released = %d, want 2 (stale decision must still release its job)", released)
 	}
 	// A current-epoch Accept caches again.
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		t.Fatal(err)
 	}
 	accept(2, 1)

@@ -119,7 +119,7 @@ func (d *Driver) generate(t *sched.Task) {
 			return
 		case <-timer.C:
 		}
-		if _, err := d.te.Arrive(t.ID); err != nil && !TransportOverloaded(err) {
+		if _, err := d.te.SubmitJob(t.ID); err != nil && !TransportOverloaded(err) {
 			// Overload means the plane shed this arrival (counted by the
 			// TE); keep generating. Any other error is terminal.
 			return

@@ -27,7 +27,7 @@ func benchTE(tb testing.TB) *TaskEffector {
 	if err := te.Activate(&ccm.Context{Node: "te-bench", ORB: node.ORB, Events: node.Channel}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		tb.Fatal(err)
 	}
 	te.onAccept(eventchan.Event{Type: EvAccept, Payload: Accept{

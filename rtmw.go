@@ -96,8 +96,10 @@ func AssignEDMSPriorities(tasks []*Task) { sched.AssignEDMSPriorities(tasks) }
 // Ingestion is admission-aware: Submit injects one job arrival and returns a
 // typed Admission (job number plus the decision state — per-task cached
 // decisions resolve synchronously, everything else is Pending until the
-// decision round trip completes), and SubmitBatch injects bulk arrivals,
-// amortizing transport round trips on the live binding.
+// decision round trip completes), and SubmitBatch injects one arrival per
+// ID after validating every ID up front (all or nothing). The batch takes
+// the same path as the equivalent Submit calls and sends the same transport
+// traffic; it saves no round trips.
 //
 // The task set is dynamic: AddTasks registers tasks on the running binding
 // (EDMS priorities re-assigned over the union, AUB-ledger admission from the
